@@ -8,10 +8,11 @@
 //
 // Section (c) is the tarr::prof scaling-curve harness: the same phases
 // measured in *deterministic work counters* (distance cells, bisection swap
-// evaluations, priced transfers) swept over rank counts and fitted to a
-// power law.  Unlike (a)/(b) these metrics are byte-stable across machines,
-// so they are gated in the perf snapshot; the fitted exponents are the
-// empirical-complexity baseline recorded in docs/OBSERVABILITY.md.
+// evaluations, priced transfers, nearest-slot search steps of the five
+// heuristics) swept over rank counts and fitted to a power law.  Unlike
+// (a)/(b) these metrics are byte-stable across machines, so they are gated
+// in the perf snapshot; the fitted exponents are the empirical-complexity
+// baseline recorded in docs/OBSERVABILITY.md.
 
 #include <cstdio>
 #include <functional>
@@ -132,6 +133,7 @@ int main() {
       {"bisection", "bisection.swap_evals"},
       {"refinement", "cost.transfers_priced"},
       {"engine-pricing", "cost.transfers_priced"},
+      {"heuristics", "mapping.scan_steps"},
   };
   std::map<std::string, std::vector<prof::ScalingPoint>> curves;
   for (int nodes : node_counts) {
@@ -155,6 +157,16 @@ int main() {
           mapping::make_scotch_like_mapper(mapping::Pattern::RecursiveDoubling);
       Rng rng(1);
       if (scotch->map(initial, dist, rng).empty()) std::abort();
+    });
+    by_phase["heuristics"] = profile_phase([&] {
+      for (const auto pattern :
+           {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
+            mapping::Pattern::BinomialBcast, mapping::Pattern::BinomialGather,
+            mapping::Pattern::Bruck}) {
+        Rng rng(1);
+        if (mapping::make_heuristic(pattern)->map(initial, dist, rng).empty())
+          std::abort();
+      }
     });
     by_phase["engine-pricing"] = profile_phase([&] {
       if (objective(comm, identity_permutation(p)) <= 0.0) std::abort();

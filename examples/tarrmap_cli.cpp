@@ -61,6 +61,7 @@
 
 #include "collectives/allgather.hpp"
 #include "collectives/gather_bcast.hpp"
+#include "common/bits.hpp"
 #include "common/cli.hpp"
 #include "core/topoallgather.hpp"
 #include "tlog/writer.hpp"
@@ -72,6 +73,7 @@
 #include "report/record.hpp"
 #include "report/render.hpp"
 #include "simmpi/layout.hpp"
+#include "topology/fattree.hpp"
 #include "trace/tracer.hpp"
 #include "viz/dashboard.hpp"
 
@@ -136,7 +138,7 @@ void write_text_file(const std::string& path, const std::string& content) {
 simmpi::LayoutSpec parse_layout(const std::string& s) {
   for (const auto& spec : simmpi::all_layouts())
     if (to_string(spec) == s) return spec;
-  throw Error("unknown layout: " + s);
+  throw cli::UsageError("unknown layout: " + s);
 }
 
 mapping::Pattern parse_pattern(const std::string& s) {
@@ -144,7 +146,7 @@ mapping::Pattern parse_pattern(const std::string& s) {
                  mapping::Pattern::BinomialBcast,
                  mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
     if (s == mapping::to_string(p)) return p;
-  throw Error("unknown pattern: " + s);
+  throw cli::UsageError("unknown pattern: " + s);
 }
 
 }  // namespace
@@ -173,7 +175,9 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (a == "--nodes") {
-        nodes = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 20));
+        // Machine::gpc builds at most the paper's fabric.
+        nodes = static_cast<int>(cli::parse_int(
+            a, next(), 1, topology::GpcTreeConfig{}.max_nodes()));
       } else if (a == "--procs") {
         procs = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 26));
       } else if (a == "--layout") {
@@ -217,6 +221,23 @@ int main(int argc, char** argv) {
         throw cli::UsageError("unknown option " + a);
       }
     }
+    // Names and sizes are checked before the machine is built or any
+    // output is opened, so bad input leaves no work and no empty artifact.
+    const simmpi::LayoutSpec layout = parse_layout(layout_name);
+    const mapping::Pattern pattern = parse_pattern(pattern_name);
+    if (mapper_name != "heuristic" && mapper_name != "scotch" &&
+        mapper_name != "greedy")
+      throw cli::UsageError("unknown mapper: " + mapper_name);
+    const int max_procs = nodes * topology::NodeShape{}.cores_per_node();
+    if (procs > max_procs)
+      throw cli::UsageError("--procs " + std::to_string(procs) +
+                            " exceeds the " + std::to_string(max_procs) +
+                            " cores of " + std::to_string(nodes) + " nodes");
+    if (pattern == mapping::Pattern::RecursiveDoubling && !is_pow2(procs))
+      throw cli::UsageError("--pattern recursive-doubling needs a "
+                            "power-of-two --procs, not " +
+                            std::to_string(procs));
+
     // --out-dir derives every artifact path from one flag; explicit
     // per-artifact flags override their derived path.
     if (!out_dir.empty()) {
@@ -247,8 +268,6 @@ int main(int argc, char** argv) {
     if (!report_path.empty()) trace::Tracer::ensure_writable(report_path);
 
     const topology::Machine machine = topology::Machine::gpc(nodes);
-    const simmpi::LayoutSpec layout = parse_layout(layout_name);
-    const mapping::Pattern pattern = parse_pattern(pattern_name);
     const simmpi::Communicator comm(
         machine, simmpi::make_layout(machine, procs, layout));
 
@@ -298,10 +317,8 @@ int main(int argc, char** argv) {
       if (mapper_name == "scotch")
         return framework.reorder_with(
             comm, *mapping::make_scotch_like_mapper(pattern));
-      if (mapper_name == "greedy")
-        return framework.reorder_with(
-            comm, *mapping::make_greedy_graph_mapper(pattern));
-      throw Error("unknown mapper: " + mapper_name);
+      return framework.reorder_with(
+          comm, *mapping::make_greedy_graph_mapper(pattern));
     }();
 
     const auto g = mapping::build_pattern_graph(pattern, procs);

@@ -1,24 +1,10 @@
 #include "check/mapping_verifier.hpp"
 
-#include <map>
+#include <algorithm>
 
 #include "common/error.hpp"
 
 namespace tarr::check {
-
-namespace {
-
-/// Multiset of slots as a slot -> count map (slot universes are sparse when
-/// a communicator covers a subset of the machine's cores).  An ordered map:
-/// the counts are iterated below, and which offending slot an error message
-/// names must not depend on hash-table layout.
-std::map<int, int> slot_counts(const std::vector<int>& slots) {
-  std::map<int, int> counts;
-  for (const int s : slots) ++counts[s];
-  return counts;
-}
-
-}  // namespace
 
 void verify_mapping(const std::string& mapper, const std::vector<int>& input,
                     const std::vector<int>& result) {
@@ -27,24 +13,31 @@ void verify_mapping(const std::string& mapper, const std::vector<int>& input,
                    std::to_string(result.size()) + " assignments for " +
                    std::to_string(input.size()) + " ranks");
 
-  const std::map<int, int> universe = slot_counts(input);
-  for (const auto& [slot, count] : universe) {
-    TARR_REQUIRE(count == 1, "mapping invariant violated [" + mapper +
-                                 "]: input slot " + std::to_string(slot) +
-                                 " hosts more than one rank");
-  }
+  // The slot universe as a sorted vector (slot ids are sparse when a
+  // communicator covers a subset of the machine's cores).  Sorted order
+  // makes the first adjacent repeat the smallest duplicated slot.
+  std::vector<int> universe = input;
+  std::sort(universe.begin(), universe.end());
+  const auto dup = std::adjacent_find(universe.begin(), universe.end());
+  TARR_REQUIRE(dup == universe.end(),
+               "mapping invariant violated [" + mapper + "]: input slot " +
+                   std::to_string(dup == universe.end() ? 0 : *dup) +
+                   " hosts more than one rank");
 
-  std::map<int, int> seen;
+  std::vector<char> seen(universe.size(), 0);
   for (std::size_t new_rank = 0; new_rank < result.size(); ++new_rank) {
     const int slot = result[new_rank];
-    TARR_REQUIRE(universe.contains(slot),
+    const auto it = std::lower_bound(universe.begin(), universe.end(), slot);
+    TARR_REQUIRE(it != universe.end() && *it == slot,
                  "mapping invariant violated [" + mapper + "]: new rank " +
                      std::to_string(new_rank) + " assigned slot " +
                      std::to_string(slot) + " outside the slot universe");
-    TARR_REQUIRE(++seen[slot] == 1,
+    char& hit = seen[static_cast<std::size_t>(it - universe.begin())];
+    TARR_REQUIRE(hit == 0,
                  "mapping invariant violated [" + mapper + "]: slot " +
                      std::to_string(slot) +
                      " assigned to more than one rank (not a bijection)");
+    hit = 1;
   }
 }
 

@@ -1,5 +1,7 @@
 #include "topology/distance.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -15,7 +17,45 @@ namespace {
 constexpr std::uint32_t kDistanceFileMagic = 0x74615244u;  // "DRat"
 constexpr std::uint32_t kDistanceFileVersion = 1;
 
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// The direct range-ultrametric check over a row-major n x n array: each
+/// row is compared against running maxima of the adjacent distances,
+/// walking right and left from the diagonal, so the pass reads row-major.
+bool rows_range_ultrametric(const float* m, int n) {
+  const auto at = [&](int a, int b) {
+    return m[static_cast<std::size_t>(a) * n + b];
+  };
+  std::vector<float> adj(n > 1 ? n - 1 : 0);
+  for (int s = 0; s + 1 < n; ++s) {
+    adj[s] = at(s, s + 1);
+    if (!std::isfinite(adj[s])) return false;
+  }
+  for (int a = 0; a < n; ++a) {
+    if (at(a, a) != 0.0f) return false;
+    float run = -kInf;
+    for (int b = a + 1; b < n; ++b) {
+      run = std::max(run, adj[b - 1]);
+      if (at(a, b) != run) return false;
+    }
+    run = -kInf;
+    for (int b = a - 1; b >= 0; --b) {
+      run = std::max(run, adj[b]);
+      if (at(a, b) != run) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+bool is_range_ultrametric(const DistanceMatrix& d) {
+  return rows_range_ultrametric(d.row(0), d.size());
+}
+
+void DistanceMatrix::detect_range_ultrametric() {
+  range_ultrametric_ = rows_range_ultrametric(d_.data(), n_);
+}
 
 float intra_level_weight(const DistanceConfig& cfg, IntraLevel level) {
   switch (level) {
@@ -48,22 +88,36 @@ void DistanceMatrix::save(const std::string& path) const {
 }
 
 DistanceMatrix DistanceMatrix::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   TARR_REQUIRE(in.good(), "DistanceMatrix::load: cannot open " + path);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(0);
   std::uint32_t header[3] = {};
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   TARR_REQUIRE(in.good() && header[0] == kDistanceFileMagic,
                "DistanceMatrix::load: not a distance-matrix file: " + path);
   TARR_REQUIRE(header[1] == kDistanceFileVersion,
                "DistanceMatrix::load: unsupported version in " + path);
-  const int n = static_cast<int>(header[2]);
-  TARR_REQUIRE(n >= 1, "DistanceMatrix::load: corrupt size in " + path);
-  DistanceMatrix d(n);
+  // The header's n is untrusted: check n^2 cells against the payload the
+  // file actually holds (64-bit, n < 2^31) before allocating anything.
+  const std::uint64_t n = header[2];
+  const std::uint64_t payload =
+      static_cast<std::uint64_t>(file_bytes) - sizeof(header);
+  TARR_REQUIRE(n >= 1 && n <= static_cast<std::uint64_t>(
+                                  std::numeric_limits<int>::max()),
+               "DistanceMatrix::load: corrupt size in " + path);
+  TARR_REQUIRE(payload % sizeof(float) == 0 &&
+                   payload / sizeof(float) == n * n,
+               "DistanceMatrix::load: header claims " + std::to_string(n) +
+                   "x" + std::to_string(n) + " cells but " + path +
+                   " holds " + std::to_string(payload) + " payload bytes");
+  DistanceMatrix d(static_cast<int>(n));
   in.read(reinterpret_cast<char*>(d.d_.data()),
           static_cast<std::streamsize>(d.d_.size() * sizeof(float)));
   TARR_REQUIRE(in.gcount() ==
                    static_cast<std::streamsize>(d.d_.size() * sizeof(float)),
                "DistanceMatrix::load: truncated file " + path);
+  d.detect_range_ultrametric();
   return d;
 }
 
@@ -84,28 +138,53 @@ DistanceMatrix extract_distances(const Machine& m, const DistanceConfig& cfg) {
   }
 
   const Router& router = m.router();
-  for (NodeId na = 0; na < m.num_nodes(); ++na) {
-    for (NodeId nb = na; nb < m.num_nodes(); ++nb) {
-      if (na == nb) {
-        for (int a = 0; a < cpn; ++a)
-          for (int b = 0; b < cpn; ++b)
-            d.set(m.core_id(na, a), m.core_id(na, b),
-                  intra[static_cast<std::size_t>(a) * cpn + b]);
-      } else {
-        // On a degraded fabric (AllowUnreachable router) a split pair is
-        // "infinitely far": mappers naturally avoid it, and any schedule that
-        // would actually route across the cut fails structurally instead.
-        const float dist =
-            router.reachable(na, nb)
-                ? cfg.inter_node_base +
-                      cfg.per_hop * static_cast<float>(router.hops(na, nb))
-                : std::numeric_limits<float>::infinity();
-        for (int a = 0; a < cpn; ++a)
-          for (int b = 0; b < cpn; ++b)
-            d.set(m.core_id(na, a), m.core_id(nb, b), dist);
+  const int nodes = m.num_nodes();
+  // On a degraded fabric (AllowUnreachable router) a split pair is
+  // "infinitely far": mappers naturally avoid it, and any schedule that
+  // would actually route across the cut fails structurally instead.
+  const auto node_distance = [&](NodeId a, NodeId b) {
+    return router.reachable(a, b)
+               ? cfg.inter_node_base +
+                     cfg.per_hop * static_cast<float>(router.hops(a, b))
+               : kInf;
+  };
+
+  // Factored range-ultrametric check, O(N^2 + cpn^2): cores are numbered
+  // node-major, so the core matrix is range-ultrametric iff the node matrix
+  // and the intra template are, and no intra distance exceeds an inter-node
+  // one.  The node part runs inside the fill loop below.
+  std::vector<float> node_adj(nodes > 1 ? nodes - 1 : 0);
+  bool ru = rows_range_ultrametric(intra.data(), cpn);
+  for (NodeId n = 0; n + 1 < nodes; ++n) {
+    node_adj[n] = node_distance(n, n + 1);
+    ru = ru && std::isfinite(node_adj[n]);
+  }
+  const float max_intra = *std::max_element(intra.begin(), intra.end());
+
+  // Fill node-pair blocks straight into the rows (core id = node * cpn +
+  // local), each off-diagonal block with its mirror.
+  const std::size_t n = static_cast<std::size_t>(total);
+  float* out = d.d_.data();
+  const auto block_row = [&](NodeId row_node, int a, NodeId col_node) {
+    return out + (static_cast<std::size_t>(row_node) * cpn + a) * n +
+           static_cast<std::size_t>(col_node) * cpn;
+  };
+  for (NodeId na = 0; na < nodes; ++na) {
+    for (int a = 0; a < cpn; ++a)
+      std::copy_n(intra.data() + static_cast<std::size_t>(a) * cpn, cpn,
+                  block_row(na, a, na));
+    float run = -kInf;
+    for (NodeId nb = na + 1; nb < nodes; ++nb) {
+      const float dist = node_distance(na, nb);
+      run = std::max(run, node_adj[nb - 1]);
+      ru = ru && dist == run && max_intra <= dist;
+      for (int a = 0; a < cpn; ++a) {
+        std::fill_n(block_row(na, a, nb), cpn, dist);
+        std::fill_n(block_row(nb, a, na), cpn, dist);
       }
     }
   }
+  d.range_ultrametric_ = ru;
   return d;
 }
 
@@ -122,7 +201,8 @@ DistanceMatrix extract_node_distances(const Machine& m,
             router.reachable(a, b)
                 ? cfg.inter_node_base +
                       cfg.per_hop * static_cast<float>(router.hops(a, b))
-                : std::numeric_limits<float>::infinity());
+                : kInf);
+  d.detect_range_ultrametric();
   return d;
 }
 
@@ -137,6 +217,7 @@ DistanceMatrix extract_intranode_distances(const Machine& m,
       d.set(a, b, intra_level_weight(cfg, intranode_level(m.shape(), a, b)));
     }
   }
+  d.detect_range_ultrametric();
   return d;
 }
 

@@ -49,30 +49,53 @@ class DistanceMatrix {
 
   int size() const { return n_; }
   float at(CoreId a, CoreId b) const { return d_[idx(a, b)]; }
+  /// Sets d(a,b) and d(b,a).  Clears the range-ultrametric flag.
   void set(CoreId a, CoreId b, float v) {
     d_[idx(a, b)] = v;
     d_[idx(b, a)] = v;
+    range_ultrametric_ = false;
   }
 
   /// Row view (distance from core a to every core).
   const float* row(CoreId a) const { return d_.data() + idx(a, 0); }
+
+  /// True when the matrix was observed to be range-ultrametric (see
+  /// is_range_ultrametric).  The extract_* functions and load() set it,
+  /// set() clears it.  The mapping heuristics use it to take their
+  /// O(log p) nearest-slot search.
+  bool range_ultrametric() const { return range_ultrametric_; }
+
+  /// Record the verdict of the direct check (is_range_ultrametric) in the
+  /// flag.  O(n^2); extract_distances uses a factored check instead.
+  void detect_range_ultrametric();
 
   /// Persist the matrix to a binary file.  The paper assumes distances are
   /// "extracted once, and saved for future references"; this is the saving
   /// half.  Throws tarr::Error on I/O failure.
   void save(const std::string& path) const;
 
-  /// Load a matrix previously written by save().  Validates the header and
-  /// size; throws tarr::Error on mismatch or I/O failure.
+  /// Load a matrix previously written by save().  Checks the header against
+  /// the file length before allocating; throws tarr::Error on a mismatch or
+  /// I/O failure.  Re-derives the range-ultrametric flag by the direct check.
   static DistanceMatrix load(const std::string& path);
 
  private:
+  friend DistanceMatrix extract_distances(const Machine& m,
+                                          const DistanceConfig& cfg);
   std::size_t idx(CoreId a, CoreId b) const {
     return static_cast<std::size_t>(a) * n_ + b;
   }
   int n_;
   std::vector<float> d_;
+  bool range_ultrametric_ = false;
 };
+
+/// The direct O(n^2) range-ultrametric check: every entry is finite,
+/// d(a,a) = 0, and d(a,b) = d(b,a) = max over a <= s < b of d(s,s+1) for
+/// every a < b.  Cores numbered node-major, nodes leaf-major and leaves
+/// line-major make the fat-tree, single-switch and deep-node matrices
+/// range-ultrametric; torus, dragonfly and probed matrices are not.
+bool is_range_ultrametric(const DistanceMatrix& d);
 
 /// Extract the full distance matrix of `m` (the operation the paper times in
 /// Fig 7a; it is intended to run once and be cached by the caller).

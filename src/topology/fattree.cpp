@@ -34,7 +34,7 @@ void validate(const GpcTreeConfig& cfg) {
 SwitchGraph build_gpc_network(int num_nodes, const GpcTreeConfig& cfg) {
   validate(cfg);
   TARR_REQUIRE(num_nodes >= 1, "build_gpc_network: need at least one node");
-  TARR_REQUIRE(num_nodes <= cfg.num_leaves * cfg.nodes_per_leaf,
+  TARR_REQUIRE(num_nodes <= cfg.max_nodes(),
                "build_gpc_network: too many nodes for the tree");
 
   SwitchGraph g;

@@ -29,6 +29,9 @@ struct GpcTreeConfig {
   /// nodes with fat NICs (tarr::probe scenarios) widen this so the
   /// oversubscribed switch fabric — not injection — is the bottleneck.
   int host_link_capacity = 1;
+
+  /// Most compute nodes the tree can attach (960 for the paper's GPC).
+  int max_nodes() const { return num_leaves * nodes_per_leaf; }
 };
 
 /// Validate a GpcTreeConfig: every count/capacity must be >= 1 and the

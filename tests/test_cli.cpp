@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <string>
 
 namespace tarr::cli {
 namespace {
@@ -92,6 +97,51 @@ TEST(Cli, UsageErrorIsATarrError) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
+}
+
+// ---------------------------------------------------------------------------
+// tarrmap rejects bad input through the usage path (exit 2) before it builds
+// the machine or opens an output.
+
+/// Exit code of tarrmap run with `args` (stdout and stderr discarded).
+int run_tarrmap(const std::string& args) {
+  const std::string cmd =
+      std::string(TARRMAP_BINARY) + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(TarrmapCli, UnknownNamesExitTwoAndLeaveNoCapture) {
+  const std::string tlog = ::testing::TempDir() + "/tarrmap_reject.tlog";
+  const std::string dir = ::testing::TempDir() + "/tarrmap_reject_dir";
+  std::filesystem::remove(tlog);
+  std::filesystem::remove_all(dir);
+  for (const std::string bad :
+       {"--mapper rdmh", "--layout diagonal", "--pattern butterfly"}) {
+    EXPECT_EQ(run_tarrmap("--nodes 2 --procs 16 --quiet --tlog " + tlog +
+                          " " + bad),
+              2)
+        << bad;
+    EXPECT_FALSE(std::filesystem::exists(tlog)) << bad;
+    EXPECT_EQ(run_tarrmap("--nodes 2 --procs 16 --quiet --out-dir " + dir +
+                          " " + bad),
+              2)
+        << bad;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << bad;
+  }
+}
+
+TEST(TarrmapCli, SizesTheJobCannotUseExitTwo) {
+  const std::string tlog = ::testing::TempDir() + "/tarrmap_big.tlog";
+  std::filesystem::remove(tlog);
+  EXPECT_EQ(run_tarrmap("--nodes 961 --quiet --tlog " + tlog), 2);
+  EXPECT_EQ(run_tarrmap("--nodes 2 --procs 17 --quiet --tlog " + tlog), 2);
+  EXPECT_EQ(run_tarrmap("--nodes 2 --procs 12 --pattern recursive-doubling "
+                        "--quiet --tlog " + tlog),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(tlog));
+  // The largest accepted sizes still pass validation.
+  EXPECT_EQ(run_tarrmap("--nodes 2 --procs 16 --quiet --pattern ring"), 0);
 }
 
 }  // namespace
