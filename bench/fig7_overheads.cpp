@@ -7,12 +7,13 @@
 //       additionally the Hoefler-Snir-style greedy), per pattern.
 //
 // Section (c) is the tarr::prof scaling-curve harness: the same phases
-// measured in *deterministic work counters* (distance cells, bisection swap
-// evaluations, priced transfers, nearest-slot search steps of the five
-// heuristics) swept over rank counts and fitted to a power law.  Unlike
-// (a)/(b) these metrics are byte-stable across machines, so they are gated
-// in the perf snapshot; the fitted exponents are the empirical-complexity
-// baseline recorded in docs/OBSERVABILITY.md.
+// measured in *deterministic work counters* (adjacency entries read by the
+// route build, distance cells, bisection swap evaluations, priced
+// transfers, nearest-slot search steps of the five heuristics) swept over
+// rank counts and fitted to a power law.  Unlike (a)/(b) these metrics are
+// byte-stable across machines, so they are gated in the perf snapshot; the
+// fitted exponents are the empirical-complexity baseline recorded in
+// docs/OBSERVABILITY.md.
 
 #include <cstdio>
 #include <functional>
@@ -129,6 +130,7 @@ int main() {
   // exact integers, identical on every machine.
   std::printf("Fig 7(c) — scaling curves (deterministic work counters)\n");
   const std::vector<std::pair<std::string, std::string>> phases = {
+      {"route-build", "routing.adjacency_entries"},
       {"distance-extraction", "distance.cells"},
       {"bisection", "bisection.swap_evals"},
       {"refinement", "cost.transfers_priced"},
@@ -148,6 +150,9 @@ int main() {
         collectives::OrderFix::None, simmpi::CostConfig{});
 
     std::map<std::string, prof::Profile> by_phase;
+    by_phase["route-build"] = profile_phase([&] {
+      if (topology::Machine::gpc(nodes).num_nodes() != nodes) std::abort();
+    });
     by_phase["distance-extraction"] = profile_phase([&] {
       if (topology::extract_distances(m).size() != m.total_cores())
         std::abort();

@@ -47,6 +47,8 @@
 #include "report/record.hpp"
 #include "simmpi/layout.hpp"
 
+#include "run_options.hpp"
+
 namespace {
 
 using namespace tarr;
@@ -254,12 +256,6 @@ const std::vector<Spec>& specs() {
   return kSpecs;
 }
 
-simmpi::LayoutSpec parse_layout(const std::string& s) {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == s) return spec;
-  throw Error("unknown layout: " + s);
-}
-
 analyze::Mutation parse_mutation(const std::string& s) {
   for (auto m : {analyze::Mutation::DropTransfer, analyze::Mutation::SwapStages,
                  analyze::Mutation::TruncateBytes,
@@ -277,7 +273,7 @@ int parse_options(int argc, char** argv, Options& o) {
     };
     if (a == "--collective") o.collective = next();
     else if (a == "--nodes")
-      o.nodes = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 20));
+      o.nodes = cli::parse_nodes(a, next());
     else if (a == "--procs")
       o.procs = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 26));
     else if (a == "--layout") o.layout = next();
@@ -294,6 +290,7 @@ int parse_options(int argc, char** argv, Options& o) {
     else if (a == "--mutate-seed") o.mutate_seed = cli::parse_seed(a, next());
     else throw cli::UsageError("unknown option " + a);
   }
+  cli::parse_layout(o.layout);  // a bad name fails before any work
   return argc;
 }
 
@@ -303,7 +300,7 @@ analyze::Certificate certify_spec(const Spec& spec, const Options& o,
   // Hierarchical runners need node-contiguous full nodes.
   const int p = spec.hierarchical ? machine.total_cores() : o.procs;
   const simmpi::LayoutSpec layout =
-      spec.hierarchical ? simmpi::LayoutSpec{} : parse_layout(o.layout);
+      spec.hierarchical ? simmpi::LayoutSpec{} : cli::parse_layout(o.layout);
   const simmpi::Communicator comm(machine,
                                   simmpi::make_layout(machine, p, layout));
   std::vector<Rank> oldrank = identity_permutation(p);

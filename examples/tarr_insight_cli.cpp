@@ -58,6 +58,8 @@
 #include "topology/fattree.hpp"
 #include "trace/tracer.hpp"
 
+#include "run_options.hpp"
+
 namespace {
 
 using namespace tarr;
@@ -76,20 +78,6 @@ using namespace tarr;
       "             --mapper identity|heuristic|scotch|greedy --seed S\n"
       "             --msg BYTES --top K\n");
   std::exit(2);
-}
-
-simmpi::LayoutSpec parse_layout(const std::string& s) {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == s) return spec;
-  throw Error("unknown layout: " + s);
-}
-
-mapping::Pattern parse_pattern(const std::string& s) {
-  for (auto p : {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
-                 mapping::Pattern::BinomialBcast,
-                 mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
-    if (s == mapping::to_string(p)) return p;
-  throw Error("unknown pattern: " + s);
 }
 
 void run_collective(simmpi::Engine& eng, mapping::Pattern pattern,
@@ -150,7 +138,7 @@ int cmd_diagnose(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--nodes")
-      a.nodes = static_cast<int>(cli::parse_int(arg, next(), 1, 1 << 20));
+      a.nodes = cli::parse_nodes(arg, next());
     else if (arg == "--procs")
       a.procs = static_cast<int>(cli::parse_int(arg, next(), 1, 1 << 26));
     else if (arg == "--layout") a.layout = next();
@@ -175,6 +163,8 @@ int cmd_diagnose(int argc, char** argv) {
     else if (arg == "--from-tlog") a.from_tlog = next();
     else throw cli::UsageError("unknown option " + arg);
   }
+  cli::check_run(a.nodes, a.procs, a.layout, a.pattern, a.mapper,
+                 {"identity", "heuristic", "scotch", "greedy"});
   if (!a.from_tlog.empty() && !a.save_tlog.empty())
     throw cli::UsageError("--from-tlog and --save-tlog are exclusive");
   // Parse the gate severity before the run so a typo fails in milliseconds,
@@ -207,9 +197,10 @@ int cmd_diagnose(int argc, char** argv) {
                                                   a.epoch));
   const topology::Machine& machine = a.congested ? degraded->machine() : base;
 
-  const mapping::Pattern pattern = parse_pattern(a.pattern);
+  const mapping::Pattern pattern = cli::parse_pattern(a.pattern);
   const simmpi::Communicator comm(
-      machine, simmpi::make_layout(machine, a.procs, parse_layout(a.layout)));
+      machine,
+      simmpi::make_layout(machine, a.procs, cli::parse_layout(a.layout)));
   std::vector<Rank> oldrank(static_cast<std::size_t>(comm.size()));
   std::iota(oldrank.begin(), oldrank.end(), 0);
 
@@ -224,9 +215,8 @@ int cmd_diagnose(int argc, char** argv) {
     if (a.mapper == "heuristic") rc = fw.reorder(comm, pattern);
     else if (a.mapper == "scotch")
       rc = fw.reorder_with(comm, *mapping::make_scotch_like_mapper(pattern));
-    else if (a.mapper == "greedy")
+    else
       rc = fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
-    else throw Error("unknown mapper: " + a.mapper);
     run_comm = &rc->comm;
     oldrank = rc->oldrank;
   }

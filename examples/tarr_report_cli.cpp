@@ -53,6 +53,8 @@
 #include "tlog/reader.hpp"
 #include "tlog/writer.hpp"
 
+#include "run_options.hpp"
+
 namespace {
 
 using namespace tarr;
@@ -85,20 +87,6 @@ struct RunOptions {
   std::string save_tlog;  ///< also stream the recorded run into a .tlog
   std::string from_tlog;  ///< rebuild the record from a .tlog, no simulation
 };
-
-simmpi::LayoutSpec parse_layout(const std::string& s) {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == s) return spec;
-  throw Error("unknown layout: " + s);
-}
-
-mapping::Pattern parse_pattern(const std::string& s) {
-  for (auto p : {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
-                 mapping::Pattern::BinomialBcast,
-                 mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
-    if (s == mapping::to_string(p)) return p;
-  throw Error("unknown pattern: " + s);
-}
 
 void run_collective(simmpi::Engine& eng, mapping::Pattern pattern,
                     const std::vector<Rank>& oldrank) {
@@ -155,7 +143,7 @@ int parse_run_options(int argc, char** argv, int i, RunOptions& o) {
       return argv[++i];
     };
     if (a == "--nodes")
-      o.nodes = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 20));
+      o.nodes = cli::parse_nodes(a, next());
     else if (a == "--procs")
       o.procs = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 26));
     else if (a == "--layout") o.layout = next();
@@ -172,6 +160,8 @@ int parse_run_options(int argc, char** argv, int i, RunOptions& o) {
     else if (a == "--from-tlog") o.from_tlog = next();
     else throw cli::UsageError("unknown option " + a);
   }
+  cli::check_run(o.nodes, o.procs, o.layout, o.pattern, o.mapper,
+                 {"heuristic", "scotch", "greedy"});
   return i;
 }
 
@@ -182,9 +172,7 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
   if (mapper == "heuristic") return fw.reorder(comm, pattern);
   if (mapper == "scotch")
     return fw.reorder_with(comm, *mapping::make_scotch_like_mapper(pattern));
-  if (mapper == "greedy")
-    return fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
-  throw Error("unknown mapper: " + mapper);
+  return fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
 }
 
 int cmd_critical_path(int argc, char** argv) {
@@ -193,9 +181,10 @@ int cmd_critical_path(int argc, char** argv) {
   if (!o.from_tlog.empty() && !o.save_tlog.empty())
     throw cli::UsageError("--from-tlog and --save-tlog are exclusive");
   const topology::Machine machine = topology::Machine::gpc(o.nodes);
-  const mapping::Pattern pattern = parse_pattern(o.pattern);
+  const mapping::Pattern pattern = cli::parse_pattern(o.pattern);
   const simmpi::Communicator comm(
-      machine, simmpi::make_layout(machine, o.procs, parse_layout(o.layout)));
+      machine,
+      simmpi::make_layout(machine, o.procs, cli::parse_layout(o.layout)));
   // The report header is a pure function of the flags, so live and
   // --from-tlog runs of the same options print identical bytes.
   report::ScheduleRecord rec;
@@ -230,9 +219,10 @@ int cmd_diff(int argc, char** argv) {
         "diff records two runs; --from-tlog/--save-tlog apply to "
         "critical-path only");
   const topology::Machine machine = topology::Machine::gpc(o.nodes);
-  const mapping::Pattern pattern = parse_pattern(o.pattern);
+  const mapping::Pattern pattern = cli::parse_pattern(o.pattern);
   const simmpi::Communicator comm(
-      machine, simmpi::make_layout(machine, o.procs, parse_layout(o.layout)));
+      machine,
+      simmpi::make_layout(machine, o.procs, cli::parse_layout(o.layout)));
   core::ReorderFramework::Options fopts;
   fopts.seed = o.seed;
   core::ReorderFramework fw(machine, fopts);

@@ -60,6 +60,8 @@
 #include "viz/topo.hpp"
 #include "viz/trend.hpp"
 
+#include "run_options.hpp"
+
 namespace {
 
 using namespace tarr;
@@ -107,7 +109,7 @@ Options parse_options(int argc, char** argv, bool positional_sets) {
       return argv[++i];
     };
     if (a == "--nodes")
-      o.nodes = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 20));
+      o.nodes = cli::parse_nodes(a, next());
     else if (a == "--procs")
       o.procs = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 26));
     else if (a == "--layout") o.layout = next();
@@ -134,21 +136,9 @@ Options parse_options(int argc, char** argv, bool positional_sets) {
       o.sets.push_back(a);
     else throw cli::UsageError("unknown option " + a);
   }
+  cli::check_run(o.nodes, o.procs, o.layout, o.pattern, o.mapper,
+                 {"heuristic", "scotch", "greedy"});
   return o;
-}
-
-simmpi::LayoutSpec parse_layout(const std::string& s) {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == s) return spec;
-  throw Error("unknown layout: " + s);
-}
-
-mapping::Pattern parse_pattern(const std::string& s) {
-  for (auto p : {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
-                 mapping::Pattern::BinomialBcast,
-                 mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
-    if (s == mapping::to_string(p)) return p;
-  throw Error("unknown pattern: " + s);
 }
 
 void run_collective(simmpi::Engine& eng, mapping::Pattern pattern,
@@ -207,9 +197,7 @@ core::ReorderedComm reorder(core::ReorderFramework& fw,
   if (mapper == "heuristic") return fw.reorder(comm, pattern);
   if (mapper == "scotch")
     return fw.reorder_with(comm, *mapping::make_scotch_like_mapper(pattern));
-  if (mapper == "greedy")
-    return fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
-  throw Error("unknown mapper: " + mapper);
+  return fw.reorder_with(comm, *mapping::make_greedy_graph_mapper(pattern));
 }
 
 /// Baseline + reordered records of one configured run.
@@ -229,9 +217,10 @@ Runs run_pair(const Options& o) {
     throw cli::UsageError("--from-tlog* and --save-tlog* are exclusive");
 
   topology::Machine machine = topology::Machine::gpc(o.nodes);
-  const mapping::Pattern pattern = parse_pattern(o.pattern);
+  const mapping::Pattern pattern = cli::parse_pattern(o.pattern);
   const simmpi::Communicator comm(
-      machine, simmpi::make_layout(machine, o.procs, parse_layout(o.layout)));
+      machine,
+      simmpi::make_layout(machine, o.procs, cli::parse_layout(o.layout)));
   // The subtitle is a pure function of the flags (and comm.size(), which the
   // flags determine), so live and --from-tlog renders print identical bytes.
   std::string subtitle =

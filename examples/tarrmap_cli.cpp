@@ -77,6 +77,8 @@
 #include "trace/tracer.hpp"
 #include "viz/dashboard.hpp"
 
+#include "run_options.hpp"
+
 namespace {
 
 using namespace tarr;
@@ -135,20 +137,6 @@ void write_text_file(const std::string& path, const std::string& content) {
   if (std::fclose(f) != 0 || !ok) throw Error("failed writing " + path);
 }
 
-simmpi::LayoutSpec parse_layout(const std::string& s) {
-  for (const auto& spec : simmpi::all_layouts())
-    if (to_string(spec) == s) return spec;
-  throw cli::UsageError("unknown layout: " + s);
-}
-
-mapping::Pattern parse_pattern(const std::string& s) {
-  for (auto p : {mapping::Pattern::RecursiveDoubling, mapping::Pattern::Ring,
-                 mapping::Pattern::BinomialBcast,
-                 mapping::Pattern::BinomialGather, mapping::Pattern::Bruck})
-    if (s == mapping::to_string(p)) return p;
-  throw cli::UsageError("unknown pattern: " + s);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -176,8 +164,7 @@ int main(int argc, char** argv) {
       };
       if (a == "--nodes") {
         // Machine::gpc builds at most the paper's fabric.
-        nodes = static_cast<int>(cli::parse_int(
-            a, next(), 1, topology::GpcTreeConfig{}.max_nodes()));
+        nodes = cli::parse_nodes(a, next());
       } else if (a == "--procs") {
         procs = static_cast<int>(cli::parse_int(a, next(), 1, 1 << 26));
       } else if (a == "--layout") {
@@ -223,16 +210,10 @@ int main(int argc, char** argv) {
     }
     // Names and sizes are checked before the machine is built or any
     // output is opened, so bad input leaves no work and no empty artifact.
-    const simmpi::LayoutSpec layout = parse_layout(layout_name);
-    const mapping::Pattern pattern = parse_pattern(pattern_name);
-    if (mapper_name != "heuristic" && mapper_name != "scotch" &&
-        mapper_name != "greedy")
-      throw cli::UsageError("unknown mapper: " + mapper_name);
-    const int max_procs = nodes * topology::NodeShape{}.cores_per_node();
-    if (procs > max_procs)
-      throw cli::UsageError("--procs " + std::to_string(procs) +
-                            " exceeds the " + std::to_string(max_procs) +
-                            " cores of " + std::to_string(nodes) + " nodes");
+    cli::check_run(nodes, procs, layout_name, pattern_name, mapper_name,
+                   {"heuristic", "scotch", "greedy"});
+    const simmpi::LayoutSpec layout = cli::parse_layout(layout_name);
+    const mapping::Pattern pattern = cli::parse_pattern(pattern_name);
     if (pattern == mapping::Pattern::RecursiveDoubling && !is_pow2(procs))
       throw cli::UsageError("--pattern recursive-doubling needs a "
                             "power-of-two --procs, not " +
@@ -267,17 +248,10 @@ int main(int argc, char** argv) {
     if (!insight_path.empty()) trace::Tracer::ensure_writable(insight_path);
     if (!report_path.empty()) trace::Tracer::ensure_writable(report_path);
 
-    const topology::Machine machine = topology::Machine::gpc(nodes);
-    const simmpi::Communicator comm(
-        machine, simmpi::make_layout(machine, procs, layout));
-
-    core::ReorderFramework::Options opts;
-    opts.seed = seed;
-    core::ReorderFramework framework(machine, opts);
-
-    // Self-profiling: the ambient profiler covers distance extraction, the
-    // mapping run and the simulated collective below.  The counting
-    // allocator is registered up front so mem.* deltas are attributed too.
+    // Self-profiling: the ambient profiler covers machine construction
+    // (network and route build), distance extraction, the mapping run and
+    // the simulated collective below.  The counting allocator is registered
+    // up front so mem.* deltas are attributed too.
     const bool profiling = !prof_path.empty() ||
                            !prof_speedscope_path.empty() ||
                            !prof_collapsed_path.empty();
@@ -287,6 +261,17 @@ int main(int argc, char** argv) {
       prof::link_memhook();
       prof_ambient.emplace(&profiler);
     }
+
+    const topology::Machine machine = [&] {
+      prof::ProfScope pscope("machine");
+      return topology::Machine::gpc(nodes);
+    }();
+    const simmpi::Communicator comm(
+        machine, simmpi::make_layout(machine, procs, layout));
+
+    core::ReorderFramework::Options opts;
+    opts.seed = seed;
+    core::ReorderFramework framework(machine, opts);
 
     // Observability: one Tracer catches the whole run — the framework's
     // Fig 7 wall spans and mapping decision counters, then the collective's

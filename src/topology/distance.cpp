@@ -121,6 +121,33 @@ DistanceMatrix DistanceMatrix::load(const std::string& path) {
   return d;
 }
 
+namespace {
+
+/// Row-major N x N node distances: inter_node_base + per_hop * hops, 0 on
+/// the diagonal.  On a degraded fabric (AllowUnreachable router) a split
+/// pair is "infinitely far": mappers naturally avoid it, and any schedule
+/// that would actually route across the cut fails structurally instead.
+std::vector<float> node_distance_rows(const Machine& m,
+                                      const DistanceConfig& cfg) {
+  const Router& router = m.router();
+  const int nodes = m.num_nodes();
+  std::vector<float> d(static_cast<std::size_t>(nodes) * nodes, 0.0f);
+  for (NodeId a = 0; a < nodes; ++a) {
+    for (NodeId b = a + 1; b < nodes; ++b) {
+      const float v =
+          router.reachable(a, b)
+              ? cfg.inter_node_base +
+                    cfg.per_hop * static_cast<float>(router.hops(a, b))
+              : kInf;
+      d[static_cast<std::size_t>(a) * nodes + b] = v;
+      d[static_cast<std::size_t>(b) * nodes + a] = v;
+    }
+  }
+  return d;
+}
+
+}  // namespace
+
 DistanceMatrix extract_distances(const Machine& m, const DistanceConfig& cfg) {
   const int total = m.total_cores();
   const int cpn = m.cores_per_node();
@@ -136,55 +163,39 @@ DistanceMatrix extract_distances(const Machine& m, const DistanceConfig& cfg) {
           intra_level_weight(cfg, intranode_level(m.shape(), a, b));
     }
   }
-
-  const Router& router = m.router();
   const int nodes = m.num_nodes();
-  // On a degraded fabric (AllowUnreachable router) a split pair is
-  // "infinitely far": mappers naturally avoid it, and any schedule that
-  // would actually route across the cut fails structurally instead.
-  const auto node_distance = [&](NodeId a, NodeId b) {
-    return router.reachable(a, b)
-               ? cfg.inter_node_base +
-                     cfg.per_hop * static_cast<float>(router.hops(a, b))
-               : kInf;
-  };
+  const std::vector<float> node = node_distance_rows(m, cfg);
 
   // Factored range-ultrametric check, O(N^2 + cpn^2): cores are numbered
   // node-major, so the core matrix is range-ultrametric iff the node matrix
   // and the intra template are, and no intra distance exceeds an inter-node
-  // one.  The node part runs inside the fill loop below.
-  std::vector<float> node_adj(nodes > 1 ? nodes - 1 : 0);
-  bool ru = rows_range_ultrametric(intra.data(), cpn);
-  for (NodeId n = 0; n + 1 < nodes; ++n) {
-    node_adj[n] = node_distance(n, n + 1);
-    ru = ru && std::isfinite(node_adj[n]);
-  }
-  const float max_intra = *std::max_element(intra.begin(), intra.end());
+  // one.  On a range-ultrametric node matrix the smallest inter-node
+  // distance is an adjacent one.
+  float min_inter = kInf;
+  for (NodeId n = 0; n + 1 < nodes; ++n)
+    min_inter = std::min(min_inter,
+                         node[static_cast<std::size_t>(n) * nodes + n + 1]);
+  d.range_ultrametric_ =
+      rows_range_ultrametric(intra.data(), cpn) &&
+      rows_range_ultrametric(node.data(), nodes) &&
+      *std::max_element(intra.begin(), intra.end()) <= min_inter;
 
-  // Fill node-pair blocks straight into the rows (core id = node * cpn +
-  // local), each off-diagonal block with its mirror.
-  const std::size_t n = static_cast<std::size_t>(total);
+  // Write the core rows in order (core id = node * cpn + local): each row
+  // is one node-distance row widened cpn-fold, with the intra template row
+  // in its own node's block.
   float* out = d.d_.data();
-  const auto block_row = [&](NodeId row_node, int a, NodeId col_node) {
-    return out + (static_cast<std::size_t>(row_node) * cpn + a) * n +
-           static_cast<std::size_t>(col_node) * cpn;
-  };
   for (NodeId na = 0; na < nodes; ++na) {
-    for (int a = 0; a < cpn; ++a)
-      std::copy_n(intra.data() + static_cast<std::size_t>(a) * cpn, cpn,
-                  block_row(na, a, na));
-    float run = -kInf;
-    for (NodeId nb = na + 1; nb < nodes; ++nb) {
-      const float dist = node_distance(na, nb);
-      run = std::max(run, node_adj[nb - 1]);
-      ru = ru && dist == run && max_intra <= dist;
-      for (int a = 0; a < cpn; ++a) {
-        std::fill_n(block_row(na, a, nb), cpn, dist);
-        std::fill_n(block_row(nb, a, na), cpn, dist);
+    const float* node_row = node.data() + static_cast<std::size_t>(na) * nodes;
+    for (int a = 0; a < cpn; ++a) {
+      for (NodeId nb = 0; nb < nodes; ++nb, out += cpn) {
+        if (nb == na)
+          std::copy_n(intra.data() + static_cast<std::size_t>(a) * cpn, cpn,
+                      out);
+        else
+          std::fill_n(out, cpn, node_row[nb]);
       }
     }
   }
-  d.range_ultrametric_ = ru;
   return d;
 }
 
@@ -194,14 +205,7 @@ DistanceMatrix extract_node_distances(const Machine& m,
   prof::count("distance.cells",
               static_cast<double>(m.num_nodes()) * m.num_nodes());
   DistanceMatrix d(m.num_nodes());
-  const Router& router = m.router();
-  for (NodeId a = 0; a < m.num_nodes(); ++a)
-    for (NodeId b = a + 1; b < m.num_nodes(); ++b)
-      d.set(a, b,
-            router.reachable(a, b)
-                ? cfg.inter_node_base +
-                      cfg.per_hop * static_cast<float>(router.hops(a, b))
-                : kInf);
+  d.d_ = node_distance_rows(m, cfg);
   d.detect_range_ultrametric();
   return d;
 }

@@ -82,6 +82,8 @@ class DistanceMatrix {
  private:
   friend DistanceMatrix extract_distances(const Machine& m,
                                           const DistanceConfig& cfg);
+  friend DistanceMatrix extract_node_distances(const Machine& m,
+                                               const DistanceConfig& cfg);
   std::size_t idx(CoreId a, CoreId b) const {
     return static_cast<std::size_t>(a) * n_ + b;
   }

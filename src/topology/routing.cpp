@@ -1,11 +1,13 @@
 #include "topology/routing.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::topology {
 
@@ -84,6 +86,7 @@ Partitioned host_components(const SwitchGraph& g) {
 
 Router::Router(const SwitchGraph& g, HostPolicy policy)
     : graph_(&g), num_hosts_(g.num_hosts()) {
+  prof::ProfScope pscope("route-build");
   components_ = host_components(g);
   if (policy == HostPolicy::RequireAll && components_.components.size() > 1)
     throw PartitionedError(components_);
@@ -94,72 +97,93 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
 
   const int V = g.num_vertices();
   const int H = num_hosts_;
-  offset_.assign(static_cast<std::size_t>(H) * H + 1, 0);
+
+  // CSR copy of the adjacency: vertex v's (neighbour, link) entries are
+  // adj[start[v] .. start[v+1]), in incident() order, so candidate order
+  // (and with it every hashed pick) is the graph's own.
+  struct Hop {
+    NetVertexId to;
+    LinkId link;
+  };
+  std::vector<std::size_t> start(static_cast<std::size_t>(V) + 1, 0);
+  std::vector<Hop> adj;
+  adj.reserve(2 * static_cast<std::size_t>(g.num_links()));
+  for (NetVertexId v = 0; v < V; ++v) {
+    for (LinkId l : g.incident(v)) adj.push_back({g.other_end(l, v), l});
+    start[v + 1] = adj.size();
+  }
+  std::vector<NetVertexId> host(H);
+  for (NodeId n = 0; n < H; ++n) host[n] = g.host_vertex(n);
 
   constexpr int kUnreached = std::numeric_limits<int>::max();
   std::vector<int> level(V);
-  std::deque<NetVertexId> queue;
-
-  // First pass per destination: BFS levels; then for every source walk the
-  // level gradient picking the hashed candidate.  Two passes over (src,dst)
-  // fill offsets then links.
-  std::vector<std::vector<LinkId>> tmp(static_cast<std::size_t>(H) * H);
-
-  for (NodeId dst = 0; dst < H; ++dst) {
+  std::vector<NetVertexId> order(V);  // BFS queue; ends as the visit order
+  std::size_t reached = 0;            // vertices in `order`
+  std::size_t touched = 0;            // adjacency entries read
+  const auto bfs = [&](NodeId dst) {
     std::fill(level.begin(), level.end(), kUnreached);
-    const NetVertexId target = g.host_vertex(dst);
-    level[target] = 0;
-    queue.clear();
-    queue.push_back(target);
-    while (!queue.empty()) {
-      const NetVertexId u = queue.front();
-      queue.pop_front();
-      for (LinkId l : g.incident(u)) {
-        const NetVertexId w = g.other_end(l, u);
-        if (level[w] == kUnreached) {
-          level[w] = level[u] + 1;
-          queue.push_back(w);
+    level[host[dst]] = 0;
+    order[0] = host[dst];
+    reached = 1;
+    for (std::size_t head = 0; head < reached; ++head) {
+      const NetVertexId u = order[head];
+      touched += start[u + 1] - start[u];
+      for (std::size_t e = start[u]; e < start[u + 1]; ++e) {
+        if (level[adj[e].to] == kUnreached) {
+          level[adj[e].to] = level[u] + 1;
+          order[reached++] = adj[e].to;
         }
       }
     }
-    for (NodeId src = 0; src < H; ++src) {
-      if (src == dst) continue;
-      if (component_of_[src] != component_of_[dst]) continue;  // unroutable
-      NetVertexId at = g.host_vertex(src);
-      TARR_REQUIRE(level[at] != kUnreached,
-                   "Router: component map disagrees with BFS");
-      auto& path = tmp[static_cast<std::size_t>(src) * H + dst];
-      path.reserve(level[at]);
-      while (at != target) {
-        // Collect the downhill candidates, then pick deterministically.
-        int candidates = 0;
-        for (LinkId l : g.incident(at)) {
-          if (level[g.other_end(l, at)] == level[at] - 1) ++candidates;
-        }
-        TARR_REQUIRE(candidates > 0, "Router: BFS gradient broken");
-        int pick = static_cast<int>(route_hash(dst, at) %
-                                    static_cast<std::uint32_t>(candidates));
-        LinkId chosen = -1;
-        for (LinkId l : g.incident(at)) {
-          if (level[g.other_end(l, at)] == level[at] - 1 && pick-- == 0) {
-            chosen = l;
-            break;
-          }
-        }
-        path.push_back(chosen);
-        at = g.other_end(chosen, at);
-      }
-    }
-  }
+  };
+  const auto routable = [&](NodeId src, NodeId dst) {
+    return src != dst && component_of_[src] == component_of_[dst];
+  };
 
+  // Sizing pass: a route's length is its source's BFS level, so the flat
+  // link array is allocated once, at its exact size.
   std::size_t total = 0;
-  for (const auto& p : tmp) total += p.size();
-  links_.reserve(total);
-  for (std::size_t i = 0; i < tmp.size(); ++i) {
-    offset_[i] = static_cast<int>(links_.size());
-    links_.insert(links_.end(), tmp[i].begin(), tmp[i].end());
+  for (NodeId dst = 0; dst < H; ++dst) {
+    bfs(dst);
+    for (NodeId src = 0; src < H; ++src) {
+      if (!routable(src, dst)) continue;
+      TARR_REQUIRE(level[host[src]] != kUnreached,
+                   "Router: component map disagrees with BFS");
+      total += level[host[src]];
+    }
   }
-  offset_.back() = static_cast<int>(links_.size());
+  links_.reserve(total);
+  offset_.assign(static_cast<std::size_t>(H) * H + 1, 0);
+
+  std::vector<Hop> next(V);  // next hop toward the destination
+  for (NodeId dst = 0; dst < H; ++dst) {
+    bfs(dst);
+    // Next-hop table: every reached vertex picks one downhill link, the
+    // hashed choice among its candidates in adjacency order.
+    for (std::size_t i = 1; i < reached; ++i) {
+      const NetVertexId at = order[i];
+      const int down = level[at] - 1;
+      std::uint32_t candidates = 0;
+      for (std::size_t e = start[at]; e < start[at + 1]; ++e)
+        if (level[adj[e].to] == down) ++candidates;
+      TARR_REQUIRE(candidates > 0, "Router: BFS gradient broken");
+      std::uint32_t pick = route_hash(dst, at) % candidates;
+      std::size_t e = start[at];
+      for (;; ++e)
+        if (level[adj[e].to] == down && pick-- == 0) break;
+      next[at] = adj[e];
+      touched += (start[at + 1] - start[at]) + (e - start[at] + 1);
+    }
+    // Every source's path follows the table (destination-major storage).
+    for (NodeId src = 0; src < H; ++src) {
+      offset_[static_cast<std::size_t>(dst) * H + src] = links_.size();
+      if (!routable(src, dst)) continue;
+      for (NetVertexId at = host[src]; at != host[dst]; at = next[at].to)
+        links_.push_back(next[at].link);
+    }
+  }
+  offset_.back() = links_.size();
+  prof::count("routing.adjacency_entries", static_cast<double>(touched));
 }
 
 std::span<const LinkId> Router::path(NodeId src, NodeId dst) const {
@@ -167,7 +191,7 @@ std::span<const LinkId> Router::path(NodeId src, NodeId dst) const {
                "Router::path: node out of range");
   if (src != dst && component_of_[src] != component_of_[dst])
     throw PartitionedError(components_);
-  const std::size_t idx = static_cast<std::size_t>(src) * num_hosts_ + dst;
+  const std::size_t idx = static_cast<std::size_t>(dst) * num_hosts_ + src;
   return std::span<const LinkId>(links_.data() + offset_[idx],
                                  links_.data() + offset_[idx + 1]);
 }

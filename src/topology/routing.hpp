@@ -19,6 +19,18 @@
 /// to one destination follows a fixed path (so two flows to the same place
 /// genuinely contend, which is what produces the paper's congestion effects).
 ///
+/// Because the choice depends only on (destination, current vertex), the
+/// routes toward one destination form a tree: the InfiniBand linear
+/// forwarding table (LFT) column of that destination.  Construction builds
+/// it directly, one pass per destination over a CSR copy of the adjacency:
+/// a BFS gives every vertex its level, every reached vertex picks one
+/// downhill link (the hashed pick among its downhill links in incident()
+/// order), and each source's path is written by following those next hops
+/// into one flat destination-major array.  A first BFS-only sweep sums the
+/// route lengths (a source's level is its hop count), so that array is
+/// allocated once at its exact size.  O(H * (V + L)) plus the total path
+/// length, with no per-pair temporaries.
+///
 /// Failover: constructing a Router over a degraded graph (links or switches
 /// removed, see fault::FaultMask) automatically reroutes every pair onto the
 /// next-shortest surviving paths with the same deterministic spreading.  When
@@ -99,8 +111,10 @@ class Router {
  private:
   const SwitchGraph* graph_;
   int num_hosts_;
-  /// Flattened storage: paths_[offset_[src*H+dst] .. offset_[src*H+dst+1]).
-  std::vector<int> offset_;
+  /// Flattened destination-major storage: the path src -> dst is
+  /// links_[offset_[dst*H+src] .. offset_[dst*H+src+1]).  64-bit offsets:
+  /// the total path length passes 2^31 near 23k hosts.
+  std::vector<std::size_t> offset_;
   std::vector<LinkId> links_;
   Partitioned components_;
   std::vector<int> component_of_;  // host node -> component index

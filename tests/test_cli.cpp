@@ -103,12 +103,15 @@ TEST(Cli, UsageErrorIsATarrError) {
 // tarrmap rejects bad input through the usage path (exit 2) before it builds
 // the machine or opens an output.
 
-/// Exit code of tarrmap run with `args` (stdout and stderr discarded).
-int run_tarrmap(const std::string& args) {
-  const std::string cmd =
-      std::string(TARRMAP_BINARY) + " " + args + " >/dev/null 2>&1";
+/// Exit code of `binary` run with `args` (stdout and stderr discarded).
+int run_binary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int run_tarrmap(const std::string& args) {
+  return run_binary(TARRMAP_BINARY, args);
 }
 
 TEST(TarrmapCli, UnknownNamesExitTwoAndLeaveNoCapture) {
@@ -142,6 +145,37 @@ TEST(TarrmapCli, SizesTheJobCannotUseExitTwo) {
   EXPECT_FALSE(std::filesystem::exists(tlog));
   // The largest accepted sizes still pass validation.
   EXPECT_EQ(run_tarrmap("--nodes 2 --procs 16 --quiet --pattern ring"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// tarr-report, tarr-viz and tarr-insight check the same run options while
+// parsing, so bad input exits 2 before a machine is built or a capture
+// opened.
+
+TEST(ScenarioClis, BadRunOptionsExitTwoAndLeaveNoCapture) {
+  const std::string tlog = ::testing::TempDir() + "/scenario_reject.tlog";
+  std::filesystem::remove(tlog);
+  const std::string report = std::string(TARR_REPORT_BINARY) +
+                             " critical-path --save-tlog " + tlog;
+  const std::string viz =
+      std::string(TARR_VIZ_BINARY) + " topo --save-tlog " + tlog;
+  const std::string insight = std::string(TARR_INSIGHT_BINARY) +
+                              " diagnose --save-tlog " + tlog;
+  for (const std::string& cli : {report, viz, insight}) {
+    for (const std::string bad :
+         {"--nodes 961", "--pattern bogus", "--mapper rdmh",
+          "--layout diagonal", "--nodes 2 --procs 17"}) {
+      EXPECT_EQ(run_binary(cli, bad), 2) << cli << " " << bad;
+      EXPECT_FALSE(std::filesystem::exists(tlog)) << cli << " " << bad;
+    }
+  }
+  // The largest accepted sizes still pass validation.
+  EXPECT_EQ(run_binary(TARR_REPORT_BINARY,
+                       "critical-path --nodes 2 --procs 16 --pattern ring"),
+            0);
+  EXPECT_EQ(run_binary(TARR_INSIGHT_BINARY,
+                       "diagnose --nodes 2 --procs 16 --mapper identity"),
+            0);
 }
 
 }  // namespace
