@@ -9,7 +9,8 @@
 // Section (c) is the tarr::prof scaling-curve harness: the same phases
 // measured in *deterministic work counters* (adjacency entries read by the
 // route build, distance cells, bisection swap evaluations, priced
-// transfers, nearest-slot search steps of the five heuristics) swept over
+// transfers, origins scanned by Bruck's final rotation, nearest-slot
+// search steps of the five heuristics) swept over
 // rank counts and fitted to a power law.  Unlike (a)/(b) these metrics are
 // byte-stable across machines, so they are gated in the perf snapshot; the
 // fitted exponents are the empirical-complexity baseline recorded in
@@ -23,7 +24,9 @@
 #include <vector>
 
 #include "bench/fixtures.hpp"
+#include "collectives/allgather.hpp"
 #include "common/permutation.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -135,6 +138,7 @@ int main() {
       {"bisection", "bisection.swap_evals"},
       {"refinement", "cost.transfers_priced"},
       {"engine-pricing", "cost.transfers_priced"},
+      {"bruck-pricing", "collectives.rotation_scans"},
       {"heuristics", "mapping.scan_steps"},
   };
   std::map<std::string, std::vector<prof::ScalingPoint>> curves;
@@ -175,6 +179,24 @@ int main() {
     });
     by_phase["engine-pricing"] = profile_phase([&] {
       if (objective(comm, identity_permutation(p)) <= 0.0) std::abort();
+    });
+    by_phase["bruck-pricing"] = profile_phase([&] {
+      // A Timed Bruck allgather on a seeded random oldrank; the counter is
+      // its final rotation's scan for the blocks each rank moves.
+      std::vector<Rank> oldrank = identity_permutation(p);
+      Rng rng(7);
+      for (int i = p - 1; i > 0; --i)
+        std::swap(oldrank[i], oldrank[rng.next_below(i + 1)]);
+      std::vector<CoreId> cores_of(p);
+      for (Rank j = 0; j < p; ++j) cores_of[j] = comm.core_of(oldrank[j]);
+      const simmpi::Communicator reordered = comm.reordered(cores_of);
+      simmpi::Engine eng(reordered, simmpi::CostConfig{},
+                         simmpi::ExecMode::Timed, 8 * 1024, p);
+      if (collectives::run_allgather(
+              eng, {collectives::AllgatherAlgo::Bruck,
+                    collectives::OrderFix::None},
+              oldrank) <= 0.0)
+        std::abort();
     });
     by_phase["refinement"] = profile_phase([&] {
       core::RefineOptions ropts;

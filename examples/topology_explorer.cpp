@@ -17,11 +17,8 @@ void show_route(const Machine& m, NodeId a, NodeId b) {
   const auto& net = m.network();
   std::printf("  node%-4d -> node%-4d (%d hops): node%d", a, b,
               m.router().hops(a, b), a);
-  NetVertexId at = net.host_vertex(a);
-  for (LinkId l : m.router().path(a, b)) {
-    at = net.other_end(l, at);
-    std::printf(" -> %s", net.vertex(at).name.c_str());
-  }
+  for (HopId h : m.router().path(a, b))
+    std::printf(" -> %s", net.vertex(net.hop_head(h)).name.c_str());
   std::printf("\n");
 }
 

@@ -568,22 +568,17 @@ std::vector<report::RecordedLoad> static_stage_loads(
         qpi_bytes[idx] += b;
         continue;
       }
-      NetVertexId at = net.host_vertex(na);
-      for (LinkId l : m.router().path(na, nb)) {
-        const int dir = net.link(l).a == at ? 0 : 1;
-        const std::size_t idx = static_cast<std::size_t>(l) * 2 + dir;
-        if (link_bytes[idx] == 0.0)
-          touched_links.push_back(static_cast<int>(idx));
-        link_bytes[idx] += b;
-        at = net.other_end(l, at);
+      for (topology::HopId h : m.router().path(na, nb)) {
+        if (link_bytes[h] == 0.0) touched_links.push_back(h);
+        link_bytes[h] += b;
       }
     }
   }
   std::vector<report::RecordedLoad> out;
   out.reserve(touched_links.size() + touched_qpi.size());
-  for (int idx : touched_links)
-    out.push_back(report::RecordedLoad{false, idx / 2, idx % 2,
-                                       link_bytes[idx]});
+  for (topology::HopId h : touched_links)
+    out.push_back(report::RecordedLoad{false, topology::hop_link(h),
+                                       topology::hop_dir(h), link_bytes[h]});
   for (int idx : touched_qpi)
     out.push_back(
         report::RecordedLoad{true, idx / 2, idx % 2, qpi_bytes[idx]});

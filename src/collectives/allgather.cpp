@@ -6,6 +6,7 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/permutation.hpp"
+#include "prof/profiler.hpp"
 
 namespace tarr::collectives {
 
@@ -51,6 +52,28 @@ void ring_stages(Engine& eng, const std::vector<Rank>& oldrank) {
     eng.repeat_last_stage(p - 2);
 }
 
+std::vector<int> bruck_moved_blocks(const std::vector<Rank>& oldrank) {
+  // Slot k of rank j holds origin i = (j+k) mod p and stays put iff
+  // oldrank[i] == k, i.e. iff j == (i - oldrank[i]) mod p: each origin
+  // keeps its slot on exactly one rank, so one pass over the origins
+  // counts every rank's staying slots.
+  const int p = static_cast<int>(oldrank.size());
+  std::vector<int> moved(p, p);
+  for (int i = 0; i < p; ++i) --moved[(i - oldrank[i] + p) % p];
+  if (prof::Profiler* profiler = prof::thread_profiler())
+    profiler->count("collectives.rotation_scans", p);
+  return moved;
+}
+
+std::vector<int> bruck_moved_blocks_by_scan(const std::vector<Rank>& oldrank) {
+  const int p = static_cast<int>(oldrank.size());
+  std::vector<int> moved(p, 0);
+  for (Rank j = 0; j < p; ++j)
+    for (int k = 0; k < p; ++k)
+      if (oldrank[(j + k) % p] != k) ++moved[j];
+  return moved;
+}
+
 }  // namespace detail
 
 namespace {
@@ -70,7 +93,7 @@ void bruck_stages(Engine& eng, const std::vector<Rank>& oldrank) {
   // Final rotation/reorder: block k of rank j (origin (j+k) mod p) moves to
   // slot oldrank[(j+k) mod p].  This is a per-rank permutation, so it cannot
   // use local_permute_all; in Timed mode each rank is charged one local copy
-  // of exactly the blocks that move.
+  // of exactly the blocks that move, counted in O(p).
   eng.begin_stage();
   if (eng.mode() == ExecMode::Data) {
     for (Rank j = 0; j < p; ++j) {
@@ -80,12 +103,11 @@ void bruck_stages(Engine& eng, const std::vector<Rank>& oldrank) {
       }
     }
   } else {
-    for (Rank j = 0; j < p; ++j) {
-      int moved = 0;
-      for (int k = 0; k < p; ++k)
-        if (oldrank[(j + k) % p] != k) ++moved;
-      if (moved > 0) eng.copy(j, 0, j, 0, moved);
-    }
+    const std::vector<int> moved = detail::bruck_moved_blocks(oldrank);
+    TARR_CHECK_SLOW(moved == detail::bruck_moved_blocks_by_scan(oldrank),
+                    "bruck: rotation histogram disagrees with the p^2 scan");
+    for (Rank j = 0; j < p; ++j)
+      if (moved[j] > 0) eng.copy(j, 0, j, 0, moved[j]);
   }
   eng.end_stage();
 }

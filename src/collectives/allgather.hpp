@@ -47,6 +47,14 @@ void rd_stages(simmpi::Engine& eng);
 /// The bare ring stage loop with in-place original-rank slot addressing.
 void ring_stages(simmpi::Engine& eng, const std::vector<Rank>& oldrank);
 
+/// Blocks each rank moves in Bruck's final rotation under `oldrank`: one
+/// O(p) pass over the origins.  Counts p in `collectives.rotation_scans`.
+std::vector<int> bruck_moved_blocks(const std::vector<Rank>& oldrank);
+
+/// The same count by scanning all p^2 slots: the reference the histogram
+/// replaced, kept for tests and TARR_SLOW_CHECKS builds.
+std::vector<int> bruck_moved_blocks_by_scan(const std::vector<Rank>& oldrank);
+
 }  // namespace detail
 
 }  // namespace tarr::collectives

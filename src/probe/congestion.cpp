@@ -84,7 +84,8 @@ topology::DistanceMatrix effective_node_distances(
   for (NodeId a = 0; a < m.num_nodes(); ++a) {
     for (NodeId b = a + 1; b < m.num_nodes(); ++b) {
       double hops = 0.0;
-      for (LinkId l : router.path(a, b)) hops += w[static_cast<std::size_t>(l)];
+      for (topology::HopId h : router.path(a, b))
+        hops += w[static_cast<std::size_t>(topology::hop_link(h))];
       d.set(a, b, cfg.inter_node_base + cfg.per_hop * static_cast<float>(hops));
     }
   }

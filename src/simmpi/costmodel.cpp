@@ -7,10 +7,17 @@
 
 namespace tarr::simmpi {
 
+using topology::HopId;
+using topology::hop_dir;
+using topology::hop_link;
+
 CostModel::CostModel(const topology::Machine& m, const CostConfig& cfg)
     : machine_(&m), cfg_(cfg) {
-  link_bytes_.assign(static_cast<std::size_t>(m.network().num_links()) * 2,
-                     0.0);
+  const auto& net = m.network();
+  link_bytes_.assign(static_cast<std::size_t>(net.num_links()) * 2, 0.0);
+  capacity_.resize(net.num_links());
+  for (LinkId l = 0; l < net.num_links(); ++l)
+    capacity_[l] = net.link(l).capacity;
   qpi_bytes_.assign(static_cast<std::size_t>(m.num_nodes()) * 2, 0.0);
   socket_bytes_.assign(
       static_cast<std::size_t>(m.num_nodes()) * m.shape().sockets, 0.0);
@@ -19,10 +26,6 @@ CostModel::CostModel(const topology::Machine& m, const CostConfig& cfg)
 void CostModel::begin_stage() {
   TARR_REQUIRE(!stage_open_, "begin_stage: previous stage still open");
   stage_open_ = true;
-}
-
-double& CostModel::link_load(LinkId l, int dir) {
-  return link_bytes_[static_cast<std::size_t>(l) * 2 + dir];
 }
 
 double& CostModel::qpi_load(NodeId n, int dir) {
@@ -39,12 +42,15 @@ void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
   TARR_REQUIRE(stage_open_, "add_transfer: no open stage");
   TARR_REQUIRE(src != dst, "add_transfer: src == dst (use local_copy_cost)");
   TARR_REQUIRE(bytes >= 0, "add_transfer: negative byte count");
-  pending_.push_back(Pending{src, dst, bytes});
-  if (!cfg_.model_contention) return;
-
   const auto& m = *machine_;
   const NodeId na = m.node_of_core(src);
   const NodeId nb = m.node_of_core(dst);
+  // The route is looked up once here and kept for finish_stage().
+  std::span<const HopId> route;
+  if (na != nb) route = m.router().path(na, nb);
+  pending_.push_back(Pending{src, dst, bytes, route});
+  if (!cfg_.model_contention) return;
+
   const double b = static_cast<double>(bytes);
   if (na == nb) {
     const SocketId sa = m.socket_of_core(src);
@@ -66,20 +72,15 @@ void CostModel::add_transfer(CoreId src, CoreId dst, Bytes bytes) {
     }
     return;
   }
-  const auto& net = m.network();
-  NetVertexId at = net.host_vertex(na);
-  for (LinkId l : m.router().path(na, nb)) {
-    const int dir = net.link(l).a == at ? 0 : 1;
-    if (link_load(l, dir) == 0.0) touched_links_.push_back(l * 2 + dir);
-    link_load(l, dir) += b;
-    at = net.other_end(l, at);
+  for (HopId h : route) {
+    if (link_bytes_[h] == 0.0) touched_links_.push_back(h);
+    link_bytes_[h] += b;
   }
 }
 
 Usec CostModel::finish_stage() {
   TARR_REQUIRE(stage_open_, "finish_stage: no open stage");
   const auto& m = *machine_;
-  const auto& net = m.network();
 
   if (capture_details_) {
     // Reuse the detail vectors' capacity across stages (clear, don't
@@ -138,20 +139,16 @@ Usec CostModel::finish_stage() {
         cost = cfg_.alpha_shm_cross + bw_time;
       }
     } else {
-      const auto path = m.router().path(na, nb);
       double bottleneck = own;
       if (cfg_.model_contention) {
-        NetVertexId at = net.host_vertex(na);
-        for (LinkId l : path) {
-          const int dir = net.link(l).a == at ? 0 : 1;
-          bottleneck = std::max(
-              bottleneck, link_load(l, dir) / net.link(l).capacity);
-          at = net.other_end(l, at);
-        }
+        for (HopId h : t.route)
+          bottleneck = std::max(bottleneck,
+                                link_bytes_[h] / capacity_[hop_link(h)]);
       }
       if (own > 0.0) contention = bottleneck / own;
-      const Usec alpha = cfg_.alpha_net +
-                         cfg_.alpha_hop * static_cast<double>(path.size());
+      const Usec alpha =
+          cfg_.alpha_net +
+          cfg_.alpha_hop * static_cast<double>(t.route.size());
       uncontended = alpha + own * cfg_.beta_net;
       cost = alpha + bottleneck * cfg_.beta_net;
     }
@@ -170,10 +167,9 @@ Usec CostModel::finish_stage() {
 
   last_stats_ = StageStats{};
   last_stats_.transfers = static_cast<int>(pending_.size());
-  for (int idx : touched_links_) {
-    const auto& link = net.link(idx / 2);
+  for (HopId h : touched_links_) {
     last_stats_.max_link_bytes = std::max(
-        last_stats_.max_link_bytes, link_bytes_[idx] / link.capacity);
+        last_stats_.max_link_bytes, link_bytes_[h] / capacity_[hop_link(h)]);
   }
   for (int idx : touched_qpi_)
     last_stats_.max_qpi_bytes =
@@ -184,10 +180,10 @@ Usec CostModel::finish_stage() {
     // wipes them.  Touched-list order is the (deterministic) first-touch
     // order of the stage's transfers.
     detail_.link_loads.reserve(touched_links_.size());
-    for (int idx : touched_links_) {
-      detail_.link_loads.push_back(LinkLoad{
-          idx / 2, idx % 2, link_bytes_[idx],
-          link_bytes_[idx] / net.link(idx / 2).capacity});
+    for (HopId h : touched_links_) {
+      detail_.link_loads.push_back(
+          LinkLoad{hop_link(h), hop_dir(h), link_bytes_[h],
+                   link_bytes_[h] / capacity_[hop_link(h)]});
     }
     detail_.qpi_loads.reserve(touched_qpi_.size());
     for (int idx : touched_qpi_)

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "simmpi/communicator.hpp"
@@ -139,19 +140,20 @@ class CostModel {
     CoreId src;
     CoreId dst;
     Bytes bytes;
+    std::span<const topology::HopId> route;  ///< empty for intra-node
   };
 
-  double& link_load(LinkId l, int dir);
   double& qpi_load(NodeId n, int dir);
   double& socket_load(NodeId n, SocketId s);
 
   const topology::Machine* machine_;
   CostConfig cfg_;
   std::vector<Pending> pending_;
-  /// Directed per-link byte loads (2 slots per link), per-direction QPI
-  /// loads, per-socket memory loads, and their touched sets for O(stage)
-  /// clearing.
+  /// Directed per-link byte loads indexed by HopId (2 slots per link),
+  /// per-direction QPI loads, per-socket memory loads, and their touched
+  /// sets for O(stage) clearing.
   std::vector<double> link_bytes_;
+  std::vector<double> capacity_;  ///< per link, as the divisor of its load
   std::vector<double> qpi_bytes_;
   std::vector<double> socket_bytes_;
   std::vector<int> touched_links_;

@@ -148,6 +148,7 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
                                     dst_off, nblocks, bytes, combining});
   }
   if (src == dst) {
+    if (local_bytes_per_rank_scratch_[src] == 0.0) local_ranks_.push_back(src);
     local_bytes_per_rank_scratch_[src] += static_cast<double>(bytes);
   } else {
     // Every retransmission attempt reloads the same links, so it is priced
@@ -170,13 +171,14 @@ void Engine::enqueue(Rank src, int src_off, Rank dst, int dst_off,
       transfer_observer_(comm_->core_of(src), comm_->core_of(dst), bytes);
   }
 
-  PendingCopy pc{src, dst, src_off, dst_off, nblocks, combining, {}};
+  ++stage_copies_;
   if (mode_ == ExecMode::Data) {
     // Capture the pre-stage payload now; all mutations happen in end_stage.
-    pc.payload.assign(buf_[src].begin() + src_off,
-                      buf_[src].begin() + src_off + nblocks);
+    pending_.push_back(PendingCopy{
+        dst, dst_off, combining,
+        std::vector<std::uint32_t>(buf_[src].begin() + src_off,
+                                   buf_[src].begin() + src_off + nblocks)});
   }
-  pending_.push_back(std::move(pc));
 }
 
 Usec Engine::end_stage() {
@@ -184,22 +186,23 @@ Usec Engine::end_stage() {
   if (verifier_) verifier_->on_end_stage();
   const Usec stage_start = total_;
   Usec stage = cost_.finish_stage();
-  for (Rank r = 0; r < comm_->size(); ++r) {
-    if (local_bytes_per_rank_scratch_[r] > 0.0) {
-      const Bytes bytes =
-          static_cast<Bytes>(local_bytes_per_rank_scratch_[r]);
-      const Usec cost = cost_.local_copy_cost(bytes);
-      stage = std::max(stage, cost);
-      if (sink_ != nullptr) {
-        // Local copies are aggregated per rank by the cost model, so the
-        // trace shows one Local span per copying rank and stage.
-        sink_->on_transfer(trace::TransferEvent{
-            stages_executed_, r, r, comm_->core_of(r), comm_->core_of(r),
-            bytes, trace::Channel::Local, 1.0, 1, stage_start, cost, cost});
-      }
-      local_bytes_per_rank_scratch_[r] = 0.0;
+  // The ranks that copied locally this stage, in rank order: their Local
+  // spans reach the trace in that order.
+  std::sort(local_ranks_.begin(), local_ranks_.end());
+  for (Rank r : local_ranks_) {
+    const Bytes bytes = static_cast<Bytes>(local_bytes_per_rank_scratch_[r]);
+    const Usec cost = cost_.local_copy_cost(bytes);
+    stage = std::max(stage, cost);
+    if (sink_ != nullptr) {
+      // Local copies are aggregated per rank by the cost model, so the
+      // trace shows one Local span per copying rank and stage.
+      sink_->on_transfer(trace::TransferEvent{
+          stages_executed_, r, r, comm_->core_of(r), comm_->core_of(r),
+          bytes, trace::Channel::Local, 1.0, 1, stage_start, cost, cost});
     }
+    local_bytes_per_rank_scratch_[r] = 0.0;
   }
+  local_ranks_.clear();
   const Usec retry_wait = stage_retry_wait_;
   if (stage_retry_wait_ > 0.0) {
     // The worst retry chain of the stage serializes its drop-detection
@@ -210,7 +213,7 @@ Usec Engine::end_stage() {
   if (mode_ == ExecMode::Data) {
     for (const PendingCopy& pc : pending_) {
       if (pc.combining) {
-        for (int k = 0; k < pc.nblocks; ++k)
+        for (std::size_t k = 0; k < pc.payload.size(); ++k)
           buf_[pc.dst][pc.dst_off + k] ^= pc.payload[k];
       } else {
         std::copy(pc.payload.begin(), pc.payload.end(),
@@ -218,7 +221,8 @@ Usec Engine::end_stage() {
       }
     }
   }
-  const int transfers = static_cast<int>(pending_.size());
+  const int transfers = stage_copies_;
+  stage_copies_ = 0;
   pending_.clear();
   stage_open_ = false;
   last_stage_cost_ = stage;

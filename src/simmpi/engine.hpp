@@ -174,11 +174,13 @@ class Engine {
   }
 
  private:
+  /// A Data-mode copy waiting for end_stage(); Timed mode moves no payload
+  /// and only counts its copies.
   struct PendingCopy {
-    Rank src, dst;
-    int src_off, dst_off, nblocks;
+    Rank dst;
+    int dst_off;
     bool combining;
-    std::vector<std::uint32_t> payload;  // captured at copy() time (Data)
+    std::vector<std::uint32_t> payload;  // captured at copy() time
   };
 
   void enqueue(Rank src, int src_off, Rank dst, int dst_off, int nblocks,
@@ -206,8 +208,10 @@ class Engine {
   Bytes block_bytes_;
   int buf_blocks_;
   std::vector<std::vector<std::uint32_t>> buf_;  // Data mode only
-  std::vector<PendingCopy> pending_;
+  std::vector<PendingCopy> pending_;  // Data mode only
+  int stage_copies_ = 0;              // copies issued in the open stage
   std::vector<Usec> local_bytes_per_rank_scratch_;
+  std::vector<Rank> local_ranks_;  // ranks with local bytes this stage
   bool stage_open_ = false;
   // Transient-fault injection (simmpi/transient.hpp); disengaged unless a
   // config with non-zero probabilities was armed.

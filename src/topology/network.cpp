@@ -75,6 +75,16 @@ NetVertexId SwitchGraph::other_end(LinkId l, NetVertexId from) const {
   return ln.a == from ? ln.b : ln.a;
 }
 
+NetVertexId SwitchGraph::hop_tail(HopId h) const {
+  const NetLink& ln = link(hop_link(h));
+  return hop_dir(h) == 0 ? ln.a : ln.b;
+}
+
+NetVertexId SwitchGraph::hop_head(HopId h) const {
+  const NetLink& ln = link(hop_link(h));
+  return hop_dir(h) == 0 ? ln.b : ln.a;
+}
+
 NetVertexId SwitchGraph::host_vertex(NodeId node) const {
   TARR_REQUIRE(node >= 0 &&
                    static_cast<std::size_t>(node) < host_of_node_.size() &&

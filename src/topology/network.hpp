@@ -38,6 +38,17 @@ struct NetLink {
   int capacity = 1;
 };
 
+/// One directed traversal of a link: `2 * link + dir`, where dir 0 runs from
+/// the link's `a` end to its `b` end and dir 1 the other way.  Routes are
+/// stored as hops, and per-direction link loads are indexed by them.
+using HopId = int;
+
+/// The link a hop traverses.
+constexpr LinkId hop_link(HopId h) { return h >> 1; }
+
+/// The direction of a hop (0: a -> b, 1: b -> a).
+constexpr int hop_dir(HopId h) { return h & 1; }
+
 /// An undirected multigraph of hosts and switches with per-link capacities.
 class SwitchGraph {
  public:
@@ -58,6 +69,10 @@ class SwitchGraph {
 
   /// The endpoint of link l that is not `from`.
   NetVertexId other_end(LinkId l, NetVertexId from) const;
+
+  /// The vertex hop h leaves from, and the vertex it arrives at.
+  NetVertexId hop_tail(HopId h) const;
+  NetVertexId hop_head(HopId h) const;
 
   /// Host vertex id for compute node `node` (there must be exactly one).
   NetVertexId host_vertex(NodeId node) const;

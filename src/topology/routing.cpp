@@ -98,18 +98,22 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
   const int V = g.num_vertices();
   const int H = num_hosts_;
 
-  // CSR copy of the adjacency: vertex v's (neighbour, link) entries are
+  // CSR copy of the adjacency: vertex v's (neighbour, hop) entries are
   // adj[start[v] .. start[v+1]), in incident() order, so candidate order
-  // (and with it every hashed pick) is the graph's own.
+  // (and with it every hashed pick) is the graph's own.  The hop is the
+  // link leaving v, so its direction is fixed here, once per entry.
   struct Hop {
     NetVertexId to;
-    LinkId link;
+    HopId hop;
   };
   std::vector<std::size_t> start(static_cast<std::size_t>(V) + 1, 0);
   std::vector<Hop> adj;
   adj.reserve(2 * static_cast<std::size_t>(g.num_links()));
   for (NetVertexId v = 0; v < V; ++v) {
-    for (LinkId l : g.incident(v)) adj.push_back({g.other_end(l, v), l});
+    for (LinkId l : g.incident(v)) {
+      const NetLink& ln = g.link(l);
+      adj.push_back(ln.a == v ? Hop{ln.b, 2 * l} : Hop{ln.a, 2 * l + 1});
+    }
     start[v + 1] = adj.size();
   }
   std::vector<NetVertexId> host(H);
@@ -141,7 +145,7 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
   };
 
   // Sizing pass: a route's length is its source's BFS level, so the flat
-  // link array is allocated once, at its exact size.
+  // hop array is allocated once, at its exact size.
   std::size_t total = 0;
   for (NodeId dst = 0; dst < H; ++dst) {
     bfs(dst);
@@ -152,7 +156,7 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
       total += level[host[src]];
     }
   }
-  links_.reserve(total);
+  hops_.reserve(total);
   offset_.assign(static_cast<std::size_t>(H) * H + 1, 0);
 
   std::vector<Hop> next(V);  // next hop toward the destination
@@ -176,24 +180,24 @@ Router::Router(const SwitchGraph& g, HostPolicy policy)
     }
     // Every source's path follows the table (destination-major storage).
     for (NodeId src = 0; src < H; ++src) {
-      offset_[static_cast<std::size_t>(dst) * H + src] = links_.size();
+      offset_[static_cast<std::size_t>(dst) * H + src] = hops_.size();
       if (!routable(src, dst)) continue;
       for (NetVertexId at = host[src]; at != host[dst]; at = next[at].to)
-        links_.push_back(next[at].link);
+        hops_.push_back(next[at].hop);
     }
   }
-  offset_.back() = links_.size();
+  offset_.back() = hops_.size();
   prof::count("routing.adjacency_entries", static_cast<double>(touched));
 }
 
-std::span<const LinkId> Router::path(NodeId src, NodeId dst) const {
+std::span<const HopId> Router::path(NodeId src, NodeId dst) const {
   TARR_REQUIRE(src >= 0 && src < num_hosts_ && dst >= 0 && dst < num_hosts_,
                "Router::path: node out of range");
   if (src != dst && component_of_[src] != component_of_[dst])
     throw PartitionedError(components_);
   const std::size_t idx = static_cast<std::size_t>(dst) * num_hosts_ + src;
-  return std::span<const LinkId>(links_.data() + offset_[idx],
-                                 links_.data() + offset_[idx + 1]);
+  return std::span<const HopId>(hops_.data() + offset_[idx],
+                                hops_.data() + offset_[idx + 1]);
 }
 
 int Router::hops(NodeId src, NodeId dst) const {

@@ -26,7 +26,9 @@
 /// a BFS gives every vertex its level, every reached vertex picks one
 /// downhill link (the hashed pick among its downhill links in incident()
 /// order), and each source's path is written by following those next hops
-/// into one flat destination-major array.  A first BFS-only sweep sums the
+/// into one flat destination-major array of directed hops (HopId, link and
+/// direction in one int, fixed when the CSR entry is made), so pricing a
+/// route is a plain gather over its span.  A first BFS-only sweep sums the
 /// route lengths (a source's level is its hop count), so that array is
 /// allocated once at its exact size.  O(H * (V + L)) plus the total path
 /// length, with no per-pair temporaries.
@@ -87,9 +89,10 @@ class Router {
   explicit Router(const SwitchGraph& g,
                   HostPolicy policy = HostPolicy::RequireAll);
 
-  /// The sequence of links from host(src) to host(dst); empty iff src == dst.
-  /// Throws PartitionedError if the pair is not reachable.
-  std::span<const LinkId> path(NodeId src, NodeId dst) const;
+  /// The sequence of directed hops from host(src) to host(dst); empty iff
+  /// src == dst.  hop_link() and hop_dir() decode each one.  Throws
+  /// PartitionedError if the pair is not reachable.
+  std::span<const HopId> path(NodeId src, NodeId dst) const;
 
   /// Number of links on the route (0 iff src == dst).  Throws
   /// PartitionedError if the pair is not reachable.
@@ -112,10 +115,10 @@ class Router {
   const SwitchGraph* graph_;
   int num_hosts_;
   /// Flattened destination-major storage: the path src -> dst is
-  /// links_[offset_[dst*H+src] .. offset_[dst*H+src+1]).  64-bit offsets:
+  /// hops_[offset_[dst*H+src] .. offset_[dst*H+src+1]).  64-bit offsets:
   /// the total path length passes 2^31 near 23k hosts.
   std::vector<std::size_t> offset_;
-  std::vector<LinkId> links_;
+  std::vector<HopId> hops_;
   Partitioned components_;
   std::vector<int> component_of_;  // host node -> component index
 };

@@ -167,7 +167,9 @@ void expect_flag_matches_direct(const Machine& m, bool expected,
   EXPECT_EQ(d.range_ultrametric(), expected) << what;
   EXPECT_EQ(is_range_ultrametric(d), expected) << what;
   const DistanceMatrix node = extract_node_distances(m);
-  if (expected) EXPECT_TRUE(node.range_ultrametric()) << what;
+  if (expected) {
+    EXPECT_TRUE(node.range_ultrametric()) << what;
+  }
   EXPECT_EQ(node.range_ultrametric(), is_range_ultrametric(node)) << what;
   EXPECT_TRUE(extract_intranode_distances(m).range_ultrametric()) << what;
 }

@@ -13,12 +13,14 @@
 namespace tarr::fault {
 namespace {
 
+using topology::HopId;
 using topology::Router;
 using topology::SwitchGraph;
 using topology::VertexKind;
 using topology::build_gpc_network;
 using topology::build_single_switch_network;
 using topology::build_two_level_fattree;
+using topology::hop_link;
 
 TEST(FaultMask, EmptyMaskReproducesGraphExactly) {
   const SwitchGraph g = build_gpc_network(60);
@@ -83,13 +85,17 @@ TEST(FaultMask, FailoverReroutesOntoSurvivingShortestPath) {
   const auto path = before.path(0, 7);  // crosses leaves
   ASSERT_EQ(path.size(), 4u);
   // path[1] is the leaf->spine uplink chosen for this destination.
-  const SwitchGraph d = FaultMask{}.fail_link(path[1]).apply(g);
+  const SwitchGraph d = FaultMask{}.fail_link(hop_link(path[1])).apply(g);
   const Router after(d);
   EXPECT_TRUE(after.fully_connected());
   EXPECT_EQ(after.hops(0, 7), 4);
-  // The degraded route is valid hop by hop.
+  // The degraded route is valid hop by hop: each hop leaves the vertex the
+  // previous one reached.
   NetVertexId at = d.host_vertex(0);
-  for (LinkId l : after.path(0, 7)) at = d.other_end(l, at);
+  for (HopId h : after.path(0, 7)) {
+    EXPECT_EQ(d.hop_tail(h), at);
+    at = d.hop_head(h);
+  }
   EXPECT_EQ(at, d.host_vertex(7));
 }
 

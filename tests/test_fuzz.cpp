@@ -8,6 +8,7 @@
 #include "check/audit_engine.hpp"
 #include "collectives/allgather.hpp"
 #include "collectives/orderfix.hpp"
+#include "common/bits.hpp"
 #include "common/permutation.hpp"
 #include "common/rng.hpp"
 #include "fault/degraded.hpp"
@@ -136,6 +137,47 @@ TEST_P(FuzzSeeds, TimedEqualsDataOnRandomSchedules) {
   const Usec t_timed = run(ExecMode::Timed);
   const Usec t_data = run(ExecMode::Data);
   EXPECT_NEAR(t_timed, t_data, 1e-9 * std::max(1.0, t_data));
+}
+
+TEST_P(FuzzSeeds, BruckTimedEqualsDataUnderRandomOldrank) {
+  // Bruck's final rotation is priced from a per-rank count of moved blocks
+  // in Timed mode and by moving every block in Data mode: both must charge
+  // exactly the same time for any oldrank.  Seeds 0 and 1 pin p = 2 and 3;
+  // the rest draw sizes that are not powers of two.
+  Rng rng(5000 + GetParam());
+  const Machine m = Machine::gpc(1 + rng.next_below(4));
+  int p = 2 + GetParam();
+  if (GetParam() >= 2) {
+    p = 3 + static_cast<int>(rng.next_below(m.total_cores() - 3));
+    if (is_pow2(p)) --p;
+  }
+  ASSERT_TRUE(p <= 3 || !is_pow2(p));
+  const Communicator comm(
+      m, simmpi::make_layout(m, p, simmpi::all_layouts()[GetParam() % 4]));
+  const auto oldrank = random_permutation(p, rng);
+  const Communicator reordered = arbitrary_reorder(comm, oldrank);
+
+  auto run = [&](ExecMode mode) {
+    Engine eng(reordered, simmpi::CostConfig{}, mode, 777, p);
+    const Usec t = collectives::run_allgather(
+        eng, AllgatherOptions{AllgatherAlgo::Bruck, OrderFix::None}, oldrank);
+    if (mode == ExecMode::Data) collectives::check_allgather_output(eng);
+    return t;
+  };
+  const Usec t_timed = run(ExecMode::Timed);
+  const Usec t_data = run(ExecMode::Data);
+  EXPECT_EQ(t_timed, t_data) << "p = " << p;
+}
+
+TEST_P(FuzzSeeds, BruckRotationHistogramMatchesTheSlotScan) {
+  // The O(p) histogram against the p^2 slot scan, per rank.
+  Rng rng(6000 + GetParam());
+  for (int p : {1, 2, 3, 2 + static_cast<int>(rng.next_below(300))}) {
+    const auto oldrank = random_permutation(p, rng);
+    EXPECT_EQ(collectives::detail::bruck_moved_blocks(oldrank),
+              collectives::detail::bruck_moved_blocks_by_scan(oldrank))
+        << "p = " << p;
+  }
 }
 
 TEST_P(FuzzSeeds, HeuristicsValidOnRandomCoreSubsets) {

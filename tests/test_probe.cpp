@@ -226,8 +226,9 @@ TEST(Probe, WorstCaseFillExceedsEveryResolvedEstimate) {
     if (p.resolved) max_resolved = std::max(max_resolved, p.estimate);
   EXPECT_GE(out.report.worst_case_distance, max_resolved);
   for (const PairProbe& p : out.report.pair_stats)
-    if (!p.resolved)
+    if (!p.resolved) {
       EXPECT_FLOAT_EQ(out.node.at(p.a, p.b), out.report.worst_case_distance);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +310,9 @@ TEST(Congestion, SparesHostLinksByDefault) {
     const bool host =
         m.network().vertex(ln.a).kind == topology::VertexKind::Host ||
         m.network().vertex(ln.b).kind == topology::VertexKind::Host;
-    if (host) EXPECT_EQ(d.link(l).capacity, ln.capacity);
+    if (host) {
+      EXPECT_EQ(d.link(l).capacity, ln.capacity);
+    }
   }
 }
 

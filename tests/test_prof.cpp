@@ -318,6 +318,28 @@ TEST(Determinism, ProfilingDoesNotPerturbSimulatedCosts) {
   EXPECT_GT(profiler.snapshot().counter_total("cost.transfers_priced"), 0.0);
 }
 
+TEST(WorkCounters, BruckRotationScansEachOriginOnce) {
+  // Timed Bruck counts its final rotation's moved blocks in one pass over
+  // the p origins; a return to the p^2 slot scan would show here and in
+  // fig7 (c)'s bruck-pricing exponent.
+  const topology::Machine m = topology::Machine::gpc(4);
+  for (int p : {2, 3, 24, 32}) {
+    const simmpi::Communicator comm(
+        m, simmpi::make_layout(m, p, simmpi::LayoutSpec{}));
+    Profiler profiler;
+    {
+      ScopedThreadProfiler guard(&profiler);
+      simmpi::Engine eng(comm, simmpi::CostConfig{}, simmpi::ExecMode::Timed,
+                         64, p);
+      collectives::run_allgather(
+          eng, {collectives::AllgatherAlgo::Bruck, collectives::OrderFix::None});
+    }
+    EXPECT_EQ(profiler.snapshot().counter_total("collectives.rotation_scans"),
+              static_cast<double>(p))
+        << "p = " << p;
+  }
+}
+
 fault::CampaignConfig tiny_campaign() {
   fault::CampaignConfig cfg;
   cfg.num_nodes = 8;

@@ -10,11 +10,15 @@
 namespace tarr::topology {
 namespace {
 
-/// Walks the path and checks every hop is a valid traversal.
+/// Walks the path and checks every hop is a valid traversal: it leaves the
+/// vertex the previous hop reached.
 void expect_valid_path(const SwitchGraph& g, const Router& r, NodeId src,
                        NodeId dst) {
   NetVertexId at = g.host_vertex(src);
-  for (LinkId l : r.path(src, dst)) at = g.other_end(l, at);
+  for (HopId h : r.path(src, dst)) {
+    EXPECT_EQ(g.hop_tail(h), at);
+    at = g.hop_head(h);
+  }
   EXPECT_EQ(at, g.host_vertex(dst));
 }
 
@@ -90,7 +94,7 @@ TEST(Router, SpreadsTrafficAcrossUplinks) {
   for (NodeId dst = 300; dst < 960; dst += 30) {
     const auto p = r.path(0, dst);
     ASSERT_GE(p.size(), 2u);
-    first_uplinks.insert(p[1]);  // p[0] is the host link
+    first_uplinks.insert(hop_link(p[1]));  // p[0] is the host link
   }
   EXPECT_GT(first_uplinks.size(), 1u);
 }
@@ -187,7 +191,7 @@ TEST(Router, SingleLinkFailureFailsOverAtEqualLength) {
   // one uplink dies.
   const SwitchGraph g = build_two_level_fattree(8, 4, 2);
   const Router before(g);
-  const auto first_uplink = before.path(0, 4)[1];
+  const LinkId first_uplink = hop_link(before.path(0, 4)[1]);
   const SwitchGraph cut = g.with_failed_links({first_uplink});
   const Router after(cut);
   EXPECT_TRUE(after.fully_connected());

@@ -34,8 +34,9 @@ std::uint32_t reference_hash(NodeId dst, NetVertexId at) {
 
 /// The reference routes: one BFS per destination over g's incident lists,
 /// then, for every source separately, a walk down the level gradient that
-/// at each vertex collects the downhill links and takes the hashed one.
-/// A pair the BFS does not connect has no route (std::nullopt).
+/// at each vertex collects the downhill links and takes the hashed one,
+/// recorded as the hop (link, direction of travel) the walk makes.  A pair
+/// the BFS does not connect has no route (std::nullopt).
 class ReferenceRoutes {
  public:
   explicit ReferenceRoutes(const SwitchGraph& g) : h_(g.num_hosts()) {
@@ -61,7 +62,7 @@ class ReferenceRoutes {
       for (NodeId src = 0; src < h_; ++src) {
         NetVertexId at = g.host_vertex(src);
         if (level[at] == kUnreached) continue;
-        std::vector<LinkId> path;
+        std::vector<HopId> path;
         while (at != target) {
           std::vector<LinkId> downhill;
           for (LinkId l : g.incident(at))
@@ -70,7 +71,8 @@ class ReferenceRoutes {
           const LinkId chosen =
               downhill[reference_hash(dst, at) %
                        static_cast<std::uint32_t>(downhill.size())];
-          path.push_back(chosen);
+          const int dir = g.link(chosen).a == at ? 0 : 1;
+          path.push_back(2 * chosen + dir);
           at = g.other_end(chosen, at);
         }
         paths_[static_cast<std::size_t>(src) * h_ + dst] = std::move(path);
@@ -78,18 +80,19 @@ class ReferenceRoutes {
     }
   }
 
-  const std::optional<std::vector<LinkId>>& path(NodeId src,
-                                                 NodeId dst) const {
+  const std::optional<std::vector<HopId>>& path(NodeId src,
+                                                NodeId dst) const {
     return paths_[static_cast<std::size_t>(src) * h_ + dst];
   }
 
  private:
   int h_;
-  std::vector<std::optional<std::vector<LinkId>>> paths_;
+  std::vector<std::optional<std::vector<HopId>>> paths_;
 };
 
-/// Every path() and reachable() of `r` must equal the reference; a pair
-/// with no reference route must throw PartitionedError.
+/// Every path() and reachable() of `r` must equal the reference, hop for
+/// hop in link and direction; a pair with no reference route must throw
+/// PartitionedError.
 void expect_routes_match(const Router& r, const std::string& what) {
   const SwitchGraph& g = r.graph();
   const ReferenceRoutes ref(g);

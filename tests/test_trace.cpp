@@ -378,7 +378,9 @@ TEST(Trace, ShrunkenCommunicatorRunsTraceCleanly) {
   // The dead node's ranks are gone: no span belongs to a rank that died.
   const int survivors = shrunk.comm.size();
   for (const auto& s : tracer.spans())
-    if (s.pid == 0 && s.tid >= 2) EXPECT_LT(s.tid - 2, survivors);
+    if (s.pid == 0 && s.tid >= 2) {
+      EXPECT_LT(s.tid - 2, survivors);
+    }
 }
 
 TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
@@ -399,7 +401,9 @@ TEST(Trace, WallSpansAreOrdinalByDefaultAndRealWhenAsked) {
   Tracer real(topts);
   traced_allgather(2, 16, ExecMode::Timed, &real);
   for (const auto& s : real.spans())
-    if (s.pid == 2) EXPECT_GE(s.dur, 0.0);
+    if (s.pid == 2) {
+      EXPECT_GE(s.dur, 0.0);
+    }
 }
 
 TEST(Trace, TopoAllgatherForwardsItsSink) {

@@ -113,7 +113,9 @@ TEST(Transient, StatsAreInternallyConsistent) {
   // Every failed attempt is exactly one drop or one corruption.
   EXPECT_EQ(stats.retransmissions, stats.drops + stats.corruptions);
   EXPECT_GT(stats.attempts, stats.retransmissions);
-  if (stats.drops > 0) EXPECT_GT(stats.timeout_wait, 0.0);
+  if (stats.drops > 0) {
+    EXPECT_GT(stats.timeout_wait, 0.0);
+  }
   EXPECT_GT(stats.retransmitted_bytes, 0);
   EXPECT_NE(stats.describe().find("attempts"), std::string::npos);
 }
